@@ -18,24 +18,29 @@ fmt:
 build:
 	go build ./...
 
+# -timeout makes a wedged run fail with every goroutine's stack instead of
+# hanging silently (go test dumps them when the timeout fires).
 test:
-	go test ./...
+	go test -timeout 120s ./...
 
 # Race pass in short mode over the concurrent internals: the stress-to-
 # verify bridge, cancel storms, and metrics integration tests all shrink
 # their iteration counts under -short so the race detector finishes fast.
 race:
-	go test -race -short ./internal/...
+	go test -race -short -timeout 120s ./internal/...
 
 # Paired-handoff cost of the instrumentation layer, disabled vs enabled.
 bench-overhead:
 	go test -run - -bench MetricsOverhead -count 5 ./internal/core/
 
-# Allocation smoke gate: the budget test fails if a steady-state hand-off
-# exceeds one allocation per operation per side, and the short benchmark
-# run prints the allocs/op figures for eyeballing regressions.
+# Allocation smoke gate: the budget tests fail if a steady-state hand-off
+# exceeds one allocation per operation per side — on the bare cores, and
+# through the sharded fabric, which must add nothing to its core's own
+# nodes — and the short benchmark run prints the allocs/op figures for
+# eyeballing regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
+	go test -run TestShardedHandoffAllocBudget -count 1 .
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)

@@ -75,7 +75,11 @@ type DualQueue[T any] struct {
 	// be unlinked immediately because it was the tail (the paper's — and
 	// Java 6's — lazy cleaning strategy).
 	cleanMe atomic.Pointer[qnode[T]]
-	_       [56]byte
+	// tpool recycles spent composing-caller tickets (see ticket.go). It
+	// fills cleanMe's line padding, so the fields below keep their
+	// offsets: the hand-off benchmarks are sensitive to this layout.
+	tpool sync.Pool
+	_     [16]byte
 	// canceled is this queue's cancellation sentinel: a canceled node's
 	// item points here. It stands in for the JDK's "item == this"
 	// self-marker, which Go's typed atomics cannot express.
@@ -686,28 +690,39 @@ func (q *DualQueue[T]) PollTimeout(d time.Duration) (T, bool) {
 	return v, st == OK
 }
 
-// observe classifies the queue's current content. The answer may be stale
-// immediately; it is intended for tests, monitoring and heuristics.
+// observe classifies the queue's current content by its first node that
+// is not dead. Dead (canceled, aborted or evicted) nodes at the front do
+// not end the look — live waiters may sit behind them — so the walk steps
+// past them (a node unlinked under the walk keeps its forward link). Like
+// the first node itself, a node a fulfiller has already claimed still
+// counts: the answer errs toward reporting a waiter, never toward hiding
+// one whose enqueue completed before the call. A walk that meets a node
+// advanceHead retired under it falls back to the tail's mode. The shard
+// fabric's presence-bit repair depends on that one-sided error.
 func (q *DualQueue[T]) observe() (data, reservations bool) {
 	h := q.head.Load()
 	t := q.tail.Load()
-	if h == t {
-		return false, false
+	for n := h.next.Load(); n != nil; {
+		if n == h {
+			return t.isData, !t.isData // h retired under us
+		}
+		if !q.isCancelled(n) {
+			return n.isData, !n.isData
+		}
+		h, n = n, n.next.Load()
 	}
-	n := h.next.Load()
-	if n == nil || n == h {
-		return false, false
-	}
-	if q.isCancelled(n) {
-		return false, false
-	}
-	return t.isData, !t.isData
+	return false, false
 }
 
-// HasWaitingProducer reports whether a producer was observed waiting.
+// HasWaitingProducer reports whether a producer was observed waiting. It
+// looks past a dead first node, so it never hides a producer whose enqueue
+// completed before the call; it may report one that is gone a moment
+// later.
 func (q *DualQueue[T]) HasWaitingProducer() bool { d, _ := q.observe(); return d }
 
-// HasWaitingConsumer reports whether a consumer was observed waiting.
+// HasWaitingConsumer reports whether a consumer was observed waiting, with
+// the same guarantee as HasWaitingProducer: it looks past a dead first
+// node and never hides a consumer.
 func (q *DualQueue[T]) HasWaitingConsumer() bool { _, r := q.observe(); return r }
 
 // IsEmpty reports whether the queue was observed holding neither data nor

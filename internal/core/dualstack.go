@@ -105,6 +105,10 @@ type DualStack[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
 	f *fault.Injector
+
+	// tpool recycles spent composing-caller tickets (see ticket.go); it
+	// is last so the hot fields above keep their offsets.
+	tpool sync.Pool
 }
 
 // NewDualStack returns an empty unfair synchronous queue with the given
@@ -617,24 +621,32 @@ func (q *DualStack[T]) PollTimeout(d time.Duration) (T, bool) {
 	return v, st == OK
 }
 
-// observe classifies the stack's current content (tests/monitoring only).
+// observe classifies the stack's current content by its topmost node
+// that is not dead. Dead (canceled, aborted or evicted) nodes at the top
+// do not end the look — live waiters may sit below them — so the walk
+// steps down past them (unspliced and popped nodes keep their next
+// links). Like the queue's observe, the answer errs toward reporting a
+// waiter (a node already being fulfilled still counts), never toward
+// hiding one.
 func (q *DualStack[T]) observe() (data, reservations bool) {
-	h := q.head.Load()
-	if h == nil || q.isDead(h) {
-		return false, false
+	for n := q.head.Load(); n != nil; n = n.next.Load() {
+		if !q.isDead(n) {
+			d := n.mode&^modeFulfilling == modeData
+			return d, !d
+		}
 	}
-	switch h.mode &^ modeFulfilling {
-	case modeData:
-		return true, false
-	default:
-		return false, true
-	}
+	return false, false
 }
 
-// HasWaitingProducer reports whether a producer was observed waiting.
+// HasWaitingProducer reports whether a producer was observed waiting. It
+// looks below a dead top, so it never hides a producer whose push
+// completed before the call; it may report one that is gone a moment
+// later.
 func (q *DualStack[T]) HasWaitingProducer() bool { d, _ := q.observe(); return d }
 
-// HasWaitingConsumer reports whether a consumer was observed waiting.
+// HasWaitingConsumer reports whether a consumer was observed waiting, with
+// the same guarantee as HasWaitingProducer: it looks below a dead top and
+// never hides a consumer.
 func (q *DualStack[T]) HasWaitingConsumer() bool { _, r := q.observe(); return r }
 
 // IsEmpty reports whether the stack was observed empty.

@@ -24,27 +24,57 @@ import (
 // A Ticket is owned by the goroutine that created it and must not be used
 // concurrently; this matches the paper's model, in which the requester
 // itself performs the follow-ups.
+//
+// Tickets issued to a composing caller through ReserveTakeStatus and
+// ReservePutStatus (the shard fabric's commit path) are recycled: a
+// pooled ticket returns to its structure's ticket pool the moment a
+// follow-up, Await or Abort spends it, so the caller must not touch it
+// again. That is ABA-free where pooling linked nodes is not — only the
+// owning goroutine ever holds a ticket's address, while nodes are shared
+// with every traverser — and it keeps a composed hand-off at the cost of
+// the core's own node, with no ticket allocation per waiter. Tickets
+// handed to users (TakeReserve, PutReserve, ReserveTake, ReservePut) are
+// never pooled: a stale user reference must still hit the spent-ticket
+// panics.
 
 // QueueTicket is a pending reservation on a DualQueue — either a request
 // for a value (from TakeReserve) or an offered value awaiting a consumer
 // (from PutReserve).
 type QueueTicket[T any] struct {
-	q    *DualQueue[T]
-	node *qnode[T]
-	pred *qnode[T]
-	e    *qitem[T] // the node's initial item state
-	t0   int64     // reservation arrival, for the latency histograms
-	done bool      // a follow-up already consumed the outcome
+	q      *DualQueue[T]
+	node   *qnode[T]
+	pred   *qnode[T]
+	e      *qitem[T] // the node's initial item state
+	t0     int64     // reservation arrival, for the latency histograms
+	done   bool      // a follow-up already consumed the outcome
+	pooled bool      // recycled through q.tpool once spent
 }
 
-// TakeReserveStatus registers a request for a value (the request
-// operation, which linearizes the caller's place in line). If a producer
-// was already waiting, its value is returned at once with ok true and a
-// nil ticket; otherwise ok is false and the ticket tracks the pending
-// reservation. A closed queue is reported as the Closed status — the
-// variant for callers (such as the shard fabric) that compose reservations
-// inside status-reporting operations.
-func (q *DualQueue[T]) TakeReserveStatus() (T, *QueueTicket[T], bool, Status) {
+// spend marks t spent; a pooled ticket is scrubbed and recycled.
+func (t *QueueTicket[T]) spend() {
+	t.done = true
+	if t.pooled {
+		q := t.q
+		*t = QueueTicket[T]{}
+		q.tpool.Put(t)
+	}
+}
+
+// ticket issues a ticket for the linked node, from the ticket pool when
+// pooled.
+func (q *DualQueue[T]) ticket(node, pred *qnode[T], e *qitem[T], t0 int64, pooled bool) *QueueTicket[T] {
+	if pooled {
+		if t, _ := q.tpool.Get().(*QueueTicket[T]); t != nil {
+			*t = QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0, pooled: true}
+			return t
+		}
+	}
+	return &QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0, pooled: pooled}
+}
+
+// takeReserve is TakeReserve with the Closed status reported instead of
+// panicking; pooled selects a recycled ticket.
+func (q *DualQueue[T]) takeReserve(pooled bool) (T, *QueueTicket[T], bool, Status) {
 	t0 := q.m.Start()
 	var zero T
 	imm, node, pred, st := q.engage(nil, func() bool { return true }, false)
@@ -66,24 +96,25 @@ func (q *DualQueue[T]) TakeReserveStatus() (T, *QueueTicket[T], bool, Status) {
 		// normally; otherwise Await reports Closed and Abort succeeds.
 		node.item.CompareAndSwap(nil, q.closedSent)
 	}
-	return zero, &QueueTicket[T]{q: q, node: node, pred: pred, e: nil, t0: t0}, false, OK
+	return zero, q.ticket(node, pred, nil, t0, pooled), false, OK
 }
 
-// TakeReserve is TakeReserveStatus for callers with no status channel: it
+// TakeReserve registers a request for a value (the request operation,
+// which linearizes the caller's place in line). If a producer was already
+// waiting, its value is returned at once with ok true and a nil ticket;
+// otherwise ok is false and the ticket tracks the pending reservation. It
 // panics if the queue is closed, like the demand operations.
 func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
-	v, tk, ok, st := q.TakeReserveStatus()
+	v, tk, ok, st := q.takeReserve(false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
 	return v, tk, ok
 }
 
-// PutReserveStatus offers v to a future consumer (the request operation).
-// If a consumer was already waiting, v is delivered at once and ok is true
-// with a nil ticket; otherwise ok is false and the ticket tracks the
-// pending offer. A closed queue is reported as the Closed status.
-func (q *DualQueue[T]) PutReserveStatus(v T) (*QueueTicket[T], bool, Status) {
+// putReserve is PutReserve with the Closed status reported instead of
+// panicking; pooled selects a recycled ticket.
+func (q *DualQueue[T]) putReserve(v T, pooled bool) (*QueueTicket[T], bool, Status) {
 	t0 := q.m.Start()
 	e := q.getBox(v)
 	_, node, pred, st := q.engage(e, func() bool { return true }, false)
@@ -96,17 +127,19 @@ func (q *DualQueue[T]) PutReserveStatus(v T) (*QueueTicket[T], bool, Status) {
 		return nil, true, OK
 	}
 	if q.closed.Load() {
-		// Same enqueue-vs-sweep window as TakeReserveStatus: self-evict
-		// so the offer is never stranded by a Close that missed it.
+		// Same enqueue-vs-sweep window as takeReserve: self-evict so
+		// the offer is never stranded by a Close that missed it.
 		node.item.CompareAndSwap(e, q.closedSent)
 	}
-	return &QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0}, false, OK
+	return q.ticket(node, pred, e, t0, pooled), false, OK
 }
 
-// PutReserve is PutReserveStatus for callers with no status channel: it
-// panics if the queue is closed.
+// PutReserve offers v to a future consumer (the request operation). If a
+// consumer was already waiting, v is delivered at once and ok is true
+// with a nil ticket; otherwise ok is false and the ticket tracks the
+// pending offer. It panics if the queue is closed.
 func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
-	tk, ok, st := q.PutReserveStatus(v)
+	tk, ok, st := q.putReserve(v, false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
@@ -120,7 +153,7 @@ func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
 // the ticket's own node. After a successful TryFollowup the ticket is
 // spent.
 func (t *QueueTicket[T]) TryFollowup() (T, bool) {
-	var zero T
+	var v T
 	if t.done {
 		panic("core: follow-up on a spent ticket")
 	}
@@ -129,19 +162,18 @@ func (t *QueueTicket[T]) TryFollowup() (T, bool) {
 		// Still pending, aborted, or evicted by Close. A closed
 		// reservation never reports true; collect the Closed status
 		// with Await, which returns immediately.
-		return zero, false
+		return v, false
 	}
-	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
 	t.q.finish(t.node, t.pred, x)
 	if x != nil {
 		// Take ticket: consume the delivered value and recycle the
-		// fulfiller's box.
-		v := x.v
+		// fulfiller's box. (A put ticket's box belongs to the taker.)
+		v = x.v
 		t.q.putBox(x)
-		return v, true
 	}
-	return zero, true // put ticket: delivered (the taker recycles the box)
+	t.spend()
+	return v, true
 }
 
 // Await blocks until the reservation is fulfilled, the deadline passes
@@ -149,24 +181,23 @@ func (t *QueueTicket[T]) TryFollowup() (T, bool) {
 // completion built from spin-then-park waiting. On Timeout/Canceled the
 // reservation has been aborted and the ticket is spent.
 func (t *QueueTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	var zero T
+	var v T
 	if t.done {
 		panic("core: await on a spent ticket")
 	}
 	x, status := t.q.awaitFulfill(t.node, t.e, deadline, cancel, t.t0)
-	t.done = true
 	if t.q.isDead(x) {
 		t.q.clean(t.pred, t.node)
 		t.q.putBox(t.e) // abandoned offer: the datum never transferred
-		return zero, status
+	} else {
+		t.q.finish(t.node, t.pred, x)
+		if x != nil {
+			v = x.v
+			t.q.putBox(x)
+		}
 	}
-	t.q.finish(t.node, t.pred, x)
-	if x != nil {
-		v := x.v
-		t.q.putBox(x)
-		return v, OK
-	}
-	return zero, OK
+	t.spend()
+	return v, status
 }
 
 // Abort attempts to cancel the reservation. It returns true if the
@@ -181,9 +212,9 @@ func (t *QueueTicket[T]) Abort() bool {
 	}
 	if t.node.item.CompareAndSwap(t.e, t.q.canceled) ||
 		t.node.item.Load() == t.q.closedSent {
-		t.done = true
 		t.q.clean(t.pred, t.node)
 		t.q.putBox(t.e) // aborted offer: the datum never transferred
+		t.spend()
 		return true
 	}
 	return false
@@ -191,71 +222,73 @@ func (t *QueueTicket[T]) Abort() bool {
 
 // StackTicket is a pending reservation on a DualStack.
 type StackTicket[T any] struct {
-	q    *DualStack[T]
-	node *snode[T]
-	t0   int64 // reservation arrival, for the latency histograms
-	done bool
+	q      *DualStack[T]
+	node   *snode[T]
+	t0     int64 // reservation arrival, for the latency histograms
+	done   bool
+	pooled bool // recycled through q.tpool once spent
 }
 
-// TakeReserveStatus registers a request for a value on the stack. If a
-// producer was already waiting (or a fulfillment completed during the
-// attempt), the value is returned at once with ok true and a nil ticket. A
-// closed stack is reported as the Closed status.
-func (q *DualStack[T]) TakeReserveStatus() (T, *StackTicket[T], bool, Status) {
-	t0 := q.m.Start()
-	var zero T
-	imm, node, st := q.engageReserve(*new(T), modeRequest)
-	if st == Closed {
-		return zero, nil, false, Closed
+// spend marks t spent; a pooled ticket is scrubbed and recycled.
+func (t *StackTicket[T]) spend() {
+	t.done = true
+	if t.pooled {
+		q := t.q
+		*t = StackTicket[T]{}
+		q.tpool.Put(t)
 	}
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
-		return imm, nil, true, OK
-	}
-	return zero, &StackTicket[T]{q: q, node: node, t0: t0}, false, OK
 }
 
-// TakeReserve is TakeReserveStatus for callers with no status channel: it
-// panics if the stack is closed.
+// TakeReserve registers a request for a value on the stack. If a producer
+// was already waiting (or a fulfillment completed during the attempt), the
+// value is returned at once with ok true and a nil ticket. It panics if
+// the stack is closed.
 func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
-	v, tk, ok, st := q.TakeReserveStatus()
+	v, tk, ok, st := q.reserve(*new(T), modeRequest, false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
 	return v, tk, ok
 }
 
-// PutReserveStatus offers v on the stack. If a consumer was already
-// waiting, v is delivered at once and ok is true with a nil ticket. A
-// closed stack is reported as the Closed status.
-func (q *DualStack[T]) PutReserveStatus(v T) (*StackTicket[T], bool, Status) {
-	t0 := q.m.Start()
-	_, node, st := q.engageReserve(v, modeData)
-	if st == Closed {
-		return nil, false, Closed
-	}
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
-		return nil, true, OK
-	}
-	return &StackTicket[T]{q: q, node: node, t0: t0}, false, OK
-}
-
-// PutReserve is PutReserveStatus for callers with no status channel: it
-// panics if the stack is closed.
+// PutReserve offers v on the stack. If a consumer was already waiting, v
+// is delivered at once and ok is true with a nil ticket. It panics if the
+// stack is closed.
 func (q *DualStack[T]) PutReserve(v T) (*StackTicket[T], bool) {
-	tk, ok, st := q.PutReserveStatus(v)
+	_, tk, ok, st := q.reserve(v, modeData, false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
 	return tk, ok
 }
 
+// reserve is the request operation behind both stack reservations, with
+// the Closed status reported instead of panicking; pooled selects a
+// recycled ticket.
+func (q *DualStack[T]) reserve(v T, mode uint8, pooled bool) (T, *StackTicket[T], bool, Status) {
+	t0 := q.m.Start()
+	imm, node, st := q.engageReserve(v, mode)
+	if st == Closed {
+		return imm, nil, false, Closed
+	}
+	if node == nil {
+		q.m.Since(metrics.HandoffNs, t0)
+		return imm, nil, true, OK
+	}
+	if pooled {
+		if t, _ := q.tpool.Get().(*StackTicket[T]); t != nil {
+			*t = StackTicket[T]{q: q, node: node, t0: t0, pooled: true}
+			return imm, t, false, OK
+		}
+	}
+	return imm, &StackTicket[T]{q: q, node: node, t0: t0, pooled: pooled}, false, OK
+}
+
 // TryFollowup checks, without blocking, whether the reservation has been
 // annihilated with a counterpart. Unsuccessful follow-ups read only the
 // ticket's own node's match word.
 func (t *StackTicket[T]) TryFollowup() (T, bool) {
-	var zero T
+	var v T
 	if t.done {
 		panic("core: follow-up on a spent ticket")
 	}
@@ -263,36 +296,36 @@ func (t *StackTicket[T]) TryFollowup() (T, bool) {
 	if m == nil || m == t.node || m == t.q.closedMark {
 		// Pending, aborted, or evicted by Close; a closed reservation
 		// reports its Closed status through Await.
-		return zero, false
+		return v, false
 	}
-	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
 	t.q.finishMatch(t.node)
 	if t.node.mode == modeRequest {
-		return m.item.Load().v, true
+		v = m.item.Load().v
 	}
-	return zero, true
+	t.spend()
+	return v, true
 }
 
 // Await blocks until the reservation is matched, the deadline passes, or
 // cancel fires. On Timeout/Canceled the reservation has been aborted and
 // the ticket is spent.
 func (t *StackTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	var zero T
+	var v T
 	if t.done {
 		panic("core: await on a spent ticket")
 	}
 	m, status := t.q.awaitFulfill(t.node, deadline, cancel, t.t0)
-	t.done = true
 	if m == t.node || m == t.q.closedMark {
 		t.q.clean(t.node)
-		return zero, status
+	} else {
+		t.q.finishMatch(t.node)
+		if t.node.mode == modeRequest {
+			v = m.item.Load().v
+		}
 	}
-	t.q.finishMatch(t.node)
-	if t.node.mode == modeRequest {
-		return m.item.Load().v, OK
-	}
-	return zero, OK
+	t.spend()
+	return v, status
 }
 
 // Abort attempts to cancel the reservation; false means a counterpart
@@ -305,8 +338,8 @@ func (t *StackTicket[T]) Abort() bool {
 	}
 	if t.node.match.CompareAndSwap(nil, t.node) ||
 		t.node.match.Load() == t.q.closedMark {
-		t.done = true
 		t.q.clean(t.node)
+		t.spend()
 		return true
 	}
 	return false
@@ -364,40 +397,42 @@ func (q *DualStack[T]) ReservePut(v T) (Ticket[T], bool) {
 	return tk, ok
 }
 
-// ReserveTakeStatus is TakeReserveStatus with the ticket as the shared
-// Ticket interface (nil ticket when ok is true or the status is Closed).
+// ReserveTakeStatus is the composing caller's take reservation: a closed
+// queue is reported as the Closed status instead of a panic, and the
+// ticket is pooled — spending it (a successful TryFollowup, Await, or a
+// successful Abort) hands it back, so the caller must not touch it again.
 func (q *DualQueue[T]) ReserveTakeStatus() (T, Ticket[T], bool, Status) {
-	v, tk, ok, st := q.TakeReserveStatus()
+	v, tk, ok, st := q.takeReserve(true)
 	if tk == nil {
 		return v, nil, ok, st
 	}
 	return v, tk, ok, st
 }
 
-// ReservePutStatus is PutReserveStatus with the ticket as the shared
-// Ticket interface.
+// ReservePutStatus is the composing caller's put reservation, with the
+// same Closed reporting and pooled-ticket contract as ReserveTakeStatus.
 func (q *DualQueue[T]) ReservePutStatus(v T) (Ticket[T], bool, Status) {
-	tk, ok, st := q.PutReserveStatus(v)
+	tk, ok, st := q.putReserve(v, true)
 	if tk == nil {
 		return nil, ok, st
 	}
 	return tk, ok, st
 }
 
-// ReserveTakeStatus is TakeReserveStatus with the ticket as the shared
-// Ticket interface (nil ticket when ok is true or the status is Closed).
+// ReserveTakeStatus is the composing caller's take reservation on the
+// stack (see DualQueue.ReserveTakeStatus).
 func (q *DualStack[T]) ReserveTakeStatus() (T, Ticket[T], bool, Status) {
-	v, tk, ok, st := q.TakeReserveStatus()
+	v, tk, ok, st := q.reserve(*new(T), modeRequest, true)
 	if tk == nil {
 		return v, nil, ok, st
 	}
 	return v, tk, ok, st
 }
 
-// ReservePutStatus is PutReserveStatus with the ticket as the shared
-// Ticket interface.
+// ReservePutStatus is the composing caller's put reservation on the stack
+// (see DualQueue.ReserveTakeStatus).
 func (q *DualStack[T]) ReservePutStatus(v T) (Ticket[T], bool, Status) {
-	tk, ok, st := q.PutReserveStatus(v)
+	_, tk, ok, st := q.reserve(v, modeData, true)
 	if tk == nil {
 		return nil, ok, st
 	}

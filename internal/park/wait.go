@@ -52,6 +52,7 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 	}
 
 	var timerC <-chan time.Time
+	var due time.Time // the wait's own deadline, skew applied
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
 		if faulty {
@@ -60,6 +61,7 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 		if d <= 0 {
 			return DeadlineExceeded
 		}
+		due = time.Now().Add(d)
 		t := timerPool.Get().(*time.Timer)
 		t.Reset(d)
 		defer func() {
@@ -116,6 +118,14 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 			// the owner's next wait (the same outcome the old
 			// channel-based Parker had when the timer won the select).
 			p.state.CompareAndSwap(pParked, pEmpty)
+			if time.Now().Before(due) {
+				// A tick is a hint, like a notifier token: with
+				// asynchronous timer channels a pooled timer's tick
+				// from its previous wait can land after that wait's
+				// Stop-and-drain. Our own timer is still armed for
+				// due, so loop and re-park.
+				continue
+			}
 			return p.detach(n, t0, DeadlineExceeded)
 		case <-cancel:
 			p.state.CompareAndSwap(pParked, pEmpty)

@@ -57,6 +57,7 @@
 package segq
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,6 +160,10 @@ type Queue[T any] struct {
 	cal          *spin.Calibrator
 	m            *metrics.Handle
 	f            *fault.Injector
+
+	// tpool recycles spent composing-caller tickets (see ticket.go); it
+	// is last so the hot fields above keep their offsets.
+	tpool sync.Pool
 }
 
 // New returns an empty segmented synchronous queue with the given wait
@@ -717,9 +722,12 @@ func (q *Queue[T]) scan(want uint32) bool {
 }
 
 // HasWaitingProducer reports whether a producer is installed and waiting.
+// The scan walks past broken (aborted or poisoned) cells, so it never
+// hides a producer whose install completed before the call.
 func (q *Queue[T]) HasWaitingProducer() bool { return q.scan(cItem) }
 
-// HasWaitingConsumer reports whether a consumer is installed and waiting.
+// HasWaitingConsumer reports whether a consumer is installed and waiting,
+// with the same guarantee as HasWaitingProducer.
 func (q *Queue[T]) HasWaitingConsumer() bool { return q.scan(cWaiter) }
 
 // IsEmpty reports whether no operation is installed and waiting.

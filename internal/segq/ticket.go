@@ -27,12 +27,29 @@ type Ticket[T any] struct {
 	isPut     bool
 	t0        int64
 	done      bool
+	pooled    bool // recycled through q.tpool once spent (see core's ticket.go)
+}
+
+// spend marks t spent; a pooled ticket is scrubbed and recycled.
+func (t *Ticket[T]) spend() {
+	t.done = true
+	if t.pooled {
+		q := t.q
+		*t = Ticket[T]{}
+		q.tpool.Put(t)
+	}
 }
 
 // reserve claims an index and installs this side in its cell without
 // waiting. Unlike transfer it never poisons: a reservation's patience is
 // decided later, by Await or Abort.
 func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
+	return q.reserveCell(isPut, v, false)
+}
+
+// reserveCell is reserve with a choice of ticket: pooled selects a
+// recycled one, for composing callers that hand it back by spending it.
+func (q *Queue[T]) reserveCell(isPut bool, v T, pooled bool) (T, *Ticket[T], bool, Status) {
 	t0 := q.m.Start()
 	var zero T
 	if q.closed.Load() {
@@ -81,7 +98,15 @@ func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
 						}
 					}
 				}
-				return zero, &Ticket[T]{q: q, s: s, c: c, i: i, installed: installed, isPut: isPut, t0: t0}, false, core.OK
+				var tk *Ticket[T]
+				if pooled {
+					tk, _ = q.tpool.Get().(*Ticket[T])
+				}
+				if tk == nil {
+					tk = new(Ticket[T])
+				}
+				*tk = Ticket[T]{q: q, s: s, c: c, i: i, installed: installed, isPut: isPut, t0: t0, pooled: pooled}
+				return zero, tk, false, core.OK
 
 			case cItem:
 				if isPut {
@@ -143,13 +168,13 @@ func (t *Ticket[T]) TryFollowup() (T, bool) {
 	if t.c.state.Load() != cDone {
 		return zero, false
 	}
-	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
-	if t.isPut {
-		return zero, true
+	v := zero
+	if !t.isPut {
+		v = t.c.v
+		t.c.v = zero
 	}
-	v := t.c.v
-	t.c.v = zero
+	t.spend()
 	return v, true
 }
 
@@ -159,9 +184,10 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 	if t.done {
 		panic("segq: await on a spent ticket")
 	}
-	t.done = true
 	_, other, _ := t.q.side(t.isPut)
-	return t.q.awaitCell(t.s, t.c, t.i, t.installed, t.isPut, deadline, cancel, t.t0, other)
+	v, st := t.q.awaitCell(t.s, t.c, t.i, t.installed, t.isPut, deadline, cancel, t.t0, other)
+	t.spend()
+	return v, st
 }
 
 // Abort cancels the reservation; false means it was fulfilled first and
@@ -181,11 +207,11 @@ func (t *Ticket[T]) Abort() bool {
 					t.c.v = zero
 				}
 				t.q.m.Inc(metrics.Cancellations)
-				t.done = true
+				t.spend()
 				return true
 			}
 		case cClosed:
-			t.done = true
+			t.spend()
 			return true
 		default: // cDone
 			return false
@@ -197,9 +223,12 @@ func (t *Ticket[T]) Abort() bool {
 // waiting its value is returned at once with ok true and a nil ticket. It
 // panics if the queue is closed, like the demand operations.
 func (q *Queue[T]) ReserveTake() (T, core.Ticket[T], bool) {
-	v, tk, ok, st := q.ReserveTakeStatus()
+	v, tk, ok, st := q.reserve(false, *new(T))
 	if st == core.Closed {
 		panic(errClosedDemand)
+	}
+	if tk == nil {
+		return v, nil, ok
 	}
 	return v, tk, ok
 }
@@ -208,28 +237,32 @@ func (q *Queue[T]) ReserveTake() (T, core.Ticket[T], bool) {
 // waiting, v is delivered at once with ok true and a nil ticket. It
 // panics if the queue is closed.
 func (q *Queue[T]) ReservePut(v T) (core.Ticket[T], bool) {
-	tk, ok, st := q.ReservePutStatus(v)
+	_, tk, ok, st := q.reserve(true, v)
 	if st == core.Closed {
 		panic(errClosedDemand)
+	}
+	if tk == nil {
+		return nil, ok
 	}
 	return tk, ok
 }
 
-// ReserveTakeStatus is ReserveTake with a status channel for composing
-// callers (the shard fabric): a closed queue reports Closed instead of
-// panicking.
+// ReserveTakeStatus is ReserveTake for composing callers (the shard
+// fabric): a closed queue reports Closed instead of panicking, and the
+// ticket is pooled — spending it hands it back, so the caller must not
+// touch it again.
 func (q *Queue[T]) ReserveTakeStatus() (T, core.Ticket[T], bool, Status) {
-	v, tk, ok, st := q.reserve(false, *new(T))
+	v, tk, ok, st := q.reserveCell(false, *new(T), true)
 	if tk == nil {
 		return v, nil, ok, st
 	}
 	return v, tk, ok, st
 }
 
-// ReservePutStatus is ReservePut with a status channel for composing
-// callers.
+// ReservePutStatus is ReservePut for composing callers, with the same
+// Closed reporting and pooled-ticket contract as ReserveTakeStatus.
 func (q *Queue[T]) ReservePutStatus(v T) (core.Ticket[T], bool, Status) {
-	_, tk, ok, st := q.reserve(true, v)
+	_, tk, ok, st := q.reserveCell(true, v, true)
 	if tk == nil {
 		return nil, ok, st
 	}

@@ -248,8 +248,9 @@ func (f *Fabric[T]) sweepPut(home int, v T, critical bool, t0 int64, ss *sweepSt
 		}
 		// Check occupancy before probing: a stale hint costs one load here
 		// instead of a full failed hand-off attempt. A linked reservation is
-		// visible to HasWaitingConsumer the instant it is enqueued, so the
-		// critical sweep's no-stranding guarantee survives the shortcut.
+		// visible to HasWaitingConsumer the instant it is enqueued — even
+		// behind a dead first node — so the critical sweep's no-stranding
+		// guarantee survives the shortcut.
 		if f.shards[i].HasWaitingConsumer() {
 			resetStreak(&f.st[i].emptyCons)
 			if f.shards[i].Offer(v) {
@@ -693,7 +694,8 @@ func (f *Fabric[T]) Close() {
 func (f *Fabric[T]) Closed() bool { return f.closedStatus() }
 
 // HasWaitingConsumer reports whether a consumer was observed waiting on
-// any shard.
+// any shard. Like the shards' own probes it looks past dead nodes, so it
+// never hides a waiting consumer.
 func (f *Fabric[T]) HasWaitingConsumer() bool {
 	for _, s := range f.shards {
 		if s.HasWaitingConsumer() {
@@ -704,7 +706,7 @@ func (f *Fabric[T]) HasWaitingConsumer() bool {
 }
 
 // HasWaitingProducer reports whether a producer was observed waiting on
-// any shard.
+// any shard, with the same one-sided error as HasWaitingConsumer.
 func (f *Fabric[T]) HasWaitingProducer() bool {
 	for _, s := range f.shards {
 		if s.HasWaitingProducer() {

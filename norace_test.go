@@ -1,0 +1,5 @@
+//go:build !race
+
+package synchq
+
+const raceEnabled = false

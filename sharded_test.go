@@ -2,7 +2,9 @@ package synchq
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -207,4 +209,149 @@ func TestEliminatingAdaptiveSharded(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Error("composed queue not empty after balanced run")
 	}
+}
+
+// TestShardedFairNeverStrands is the regression test for a cross-shard
+// strand. An aborted commit reservation leaves a dead node at the front of
+// its shard's queue; HasWaitingConsumer/HasWaitingProducer used to report
+// such a shard empty even with live waiters behind the dead node, so a
+// sweep cleared their presence bit and a counterpart committing on the
+// other shard missed them in its Dekker reload — both sides then parked
+// for good. Two producers and two consumers move items through a
+// two-shard fair queue over and over; a run that makes no progress for two
+// seconds is a strand.
+func TestShardedFairNeverStrands(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	runs, items := 40, 20000
+	if testing.Short() {
+		runs = 10
+	}
+	for r := 0; r < runs; r++ {
+		strandRun(t, r, items)
+	}
+}
+
+// strandRun moves items from each of two producers to two consumers
+// through New(Fair(true), Sharded(2)), fails the test if progress stops,
+// and checks the consumers received every value exactly once (by count and
+// sum).
+func strandRun(t *testing.T, run, items int) {
+	t.Helper()
+	q := New[int](Fair(true), Sharded(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var progress, sum atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < items; i++ {
+				if q.PutContext(ctx, i) != nil {
+					return
+				}
+				progress.Add(1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < items; i++ {
+				v, err := q.TakeContext(ctx)
+				if err != nil {
+					return
+				}
+				sum.Add(int64(v))
+				progress.Add(1)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	want := int64(4 * items)
+	tick := time.NewTicker(2 * time.Second)
+	defer tick.Stop()
+	last := int64(-1)
+	for {
+		select {
+		case <-done:
+			if n := progress.Load(); n != want || sum.Load() != int64(items)*int64(items-1) {
+				t.Fatalf("run %d: lost or duplicated items: %d of %d operations, sum %d", run, n, want, sum.Load())
+			}
+			return
+		case <-tick.C:
+			n := progress.Load()
+			if n == last {
+				cancel()
+				<-done
+				t.Fatalf("run %d stranded after %d of %d operations", run, n, want)
+			}
+			last = n
+		}
+	}
+}
+
+// TestShardedHandoffAllocBudget pins what the fabric adds to a hand-off's
+// memory: nothing. A sharded pair allocates only what its shard's core
+// allocates on its own, which is at most one object per operation — the
+// waiter's node on the fair queue, the waiter's and the fulfiller's nodes
+// on the unfair stack, a sixteenth of a segment on the segmented core
+// (which AllocsPerRun's whole-number count reads as 0). The fabric's
+// commit reservations use recycled tickets, so it adds no ticket per
+// waiter.
+func TestShardedHandoffAllocBudget(t *testing.T) {
+	cores := []struct {
+		name   string
+		opt    Option
+		budget float64 // allocations per paired hand-off
+	}{
+		{"fair", Fair(true), 1},
+		{"unfair", Fair(false), 2},
+		{"segmented", Segmented(), 0},
+	}
+	fabrics := []struct {
+		name string
+		opt  Option
+	}{
+		{"auto", AutoShard()},
+		{"sharded2", Sharded(2)},
+	}
+	for _, c := range cores {
+		for _, f := range fabrics {
+			t.Run(c.name+"/"+f.name, func(t *testing.T) {
+				budget := c.budget
+				if raceEnabled {
+					budget++ // sync.Pool drops Puts under -race
+				}
+				q := New[int64](c.opt, f.opt)
+				if got := contextPairAllocs(q); got > budget {
+					t.Errorf("allocs per PutContext/TakeContext pair = %v, want at most %v", got, budget)
+				}
+			})
+		}
+	}
+}
+
+// contextPairAllocs reports the steady-state allocations per paired
+// PutContext/TakeContext hand-off, both sides counted (AllocsPerRun reads
+// the global allocation counter). -1 is the partner's stop value.
+func contextPairAllocs(q *SynchronousQueue[int64]) float64 {
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if v, err := q.TakeContext(ctx); err != nil || v == -1 {
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		q.PutContext(ctx, int64(i))
+	}
+	got := testing.AllocsPerRun(200, func() { q.PutContext(ctx, 7) })
+	q.PutContext(ctx, -1)
+	<-done
+	return got
 }

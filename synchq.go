@@ -394,10 +394,13 @@ func (q *SynchronousQueue[T]) OfferWait(v T, deadline time.Time, cancel <-chan s
 // HasWaitingConsumer reports whether a consumer was observed waiting. The
 // answer may be stale by the time it is returned; it is a heuristic (for
 // example, for deciding whether submitting work will require a new
-// worker).
+// worker). It errs one way only: it may report a consumer whose hand-off
+// is completing at that moment, but it never hides one whose wait began
+// before the call — not even behind waiters that have just given up.
 func (q *SynchronousQueue[T]) HasWaitingConsumer() bool { return q.impl.HasWaitingConsumer() }
 
-// HasWaitingProducer reports whether a producer was observed waiting.
+// HasWaitingProducer reports whether a producer was observed waiting, with
+// the same one-sided error as HasWaitingConsumer.
 func (q *SynchronousQueue[T]) HasWaitingProducer() bool { return q.impl.HasWaitingProducer() }
 
 // IsEmpty reports whether the queue was observed with no waiting producers
