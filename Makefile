@@ -56,7 +56,9 @@ bench-scaling:
 
 # Batched hand-off gate: k-item batch ops vs k single ops on the two gated
 # cores (seg's multi-cell claim, transfer's burst splice), reduced to the
-# baseline and headline batch sizes so CI gates quickly. The -gate floors
+# baseline and headline batch sizes so CI gates quickly. Each cell is the
+# median of five repeats interleaved across the batch sizes, so host drift
+# hits the single-op baseline and the batch leg alike. The -gate floors
 # are host-aware: ≥25% lower ns/item at k=8 on multicore hosts; on a
 # single-CPU host the seg floor demands a clear win (its saving is
 # park/unpark amortization, which survives, but the margin is scheduler
@@ -64,7 +66,7 @@ bench-scaling:
 # tail-CAS contention, which a single CPU cannot exhibit). The committed
 # BENCH_batch.json is regenerated over the full sweep by bench-all.
 bench-batch:
-	go run ./cmd/sqbench -figure batch -transfers 3000 -repeats 2 -levels 1,8 \
+	go run ./cmd/sqbench -figure batch -transfers 3000 -repeats 5 -levels 1,8 \
 		-cores seg,transfer -quiet -gate
 
 # Regenerate every committed BENCH_*.json in one pass, each with the

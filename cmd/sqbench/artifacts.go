@@ -29,8 +29,8 @@ const (
 	artifactLatencyRepeats    = 7
 	artifactExecutorTransfers = 20000
 	artifactBatchTransfers    = 20000
-	// Best-of-five, like scaling: the batched cells at high pair counts
-	// are park/unpark-bound and scheduler-noisy on shared CI hosts.
+	// Median of five interleaved repeats: the batched cells at high pair
+	// counts are park/unpark-bound and scheduler-noisy on shared CI hosts.
 	artifactBatchRepeats = 5
 )
 

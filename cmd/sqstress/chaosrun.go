@@ -137,6 +137,10 @@ func registerProperties(rc *runCtx) {
 		rc.suite.Sometimes(propDrainForce)
 	}
 
+	// What must hold once faults stop (runCalm's phases).
+	rc.suite.Always(propTimedResolved, nil)
+	rc.suite.Unreachable(propEarlyTimeout)
+
 	rc.suite.Sometimes(propTimeout)
 	rc.suite.Sometimes(propCloseReject)
 	if rc.core.cancelable {
@@ -254,6 +258,7 @@ func runChaosMatrix(o chaosOptions) (*props.Report, bool) {
 				}
 				fmt.Fprintf(o.out, "chaos %-20s %s\n", label, sc.name)
 				sc.run(rc, o.scenarioDur)
+				rc.runCalm(sc.name, o.scenarioDur/4)
 			}
 			report.Add(rc.suite)
 		}

@@ -36,6 +36,9 @@ const (
 	propExecLedger   = "executor-ledger"
 	propDrainForce   = "drain-reaches-force"
 	propBatchPartial = "batch-partial-unwind"
+	// The no-fault phase's properties (see runCalm).
+	propTimedResolved = "calm-timed-ops-resolved"
+	propEarlyTimeout  = "calm-timeout-before-deadline"
 )
 
 // chaosBatchMax is the largest batch the workload engine offers or polls
@@ -49,6 +52,10 @@ const (
 	quiesceBound = 5 * time.Second
 	closeBound   = 2 * time.Second
 	drainWait    = 10 * time.Millisecond
+	// calmLateBound is how long after its patience a timed operation of
+	// the no-fault phase may still return and count as resolved: far
+	// above any scheduling delay, far below a lost wake-up.
+	calmLateBound = time.Second
 )
 
 // scenarioDef is one entry of the scenario library.
@@ -381,6 +388,9 @@ type workloadTuning struct {
 	// odd phases throttle producers to one, even phases throttle
 	// consumers to one.
 	skewPeriod time.Duration
+	// calm marks a no-fault phase: every timed operation is judged
+	// against its patience (see judgeTimed).
+	calm bool
 }
 
 func defaultPatience(r *rand.Rand) time.Duration {
@@ -553,7 +563,9 @@ func (rc *runCtx) producerLoop(wg *sync.WaitGroup, st *scenarioState, adapter ch
 			}
 			vs := append([]int64(nil), orig...)
 			inv := log.Begin()
+			start := time.Now()
 			n, stStatus := batcher.ChaosOfferBatch(vs, patience, cancel)
+			rc.judgeTimed(st, tune, start, patience, stStatus, true)
 			// The partial-fill contract: vs[n:] is exactly the undelivered
 			// set (the core may have compacted it), so delivery per item is
 			// decided by membership, not by position.
@@ -572,7 +584,11 @@ func (rc *runCtx) producerLoop(wg *sync.WaitGroup, st *scenarioState, adapter ch
 		}
 		v := id<<40 | seq
 		inv := log.Begin()
+		start := time.Now()
 		stStatus := adapter.ChaosOffer(v, patience, cancel)
+		// An executor offer has no deadline of its own: its Timeout is
+		// the pool's saturation bound, not the patience.
+		rc.judgeTimed(st, tune, start, patience, stStatus, !rc.core.executor)
 		log.End(verify.Put, v, inv, stStatus == core.OK)
 		if rc.noteOutcome(st, stStatus, true, raced) {
 			return
@@ -614,7 +630,9 @@ func (rc *runCtx) consumerLoop(wg *sync.WaitGroup, st *scenarioState, adapter ch
 			// operation's single interval.
 			max := 2 + rng.IntN(chaosBatchMax-1)
 			inv := log.Begin()
+			start := time.Now()
 			buf, stStatus := batcher.ChaosPollBatch(max, patience, cancel)
+			rc.judgeTimed(st, tune, start, patience, stStatus, true)
 			if len(buf) == 0 {
 				log.End(verify.Take, 0, inv, false)
 			}
@@ -627,7 +645,9 @@ func (rc *runCtx) consumerLoop(wg *sync.WaitGroup, st *scenarioState, adapter ch
 			continue
 		}
 		inv := log.Begin()
+		start := time.Now()
 		v, stStatus := adapter.ChaosPoll(patience, cancel)
+		rc.judgeTimed(st, tune, start, patience, stStatus, true)
 		log.End(verify.Take, v, inv, stStatus == core.OK)
 		if rc.noteOutcome(st, stStatus, false, raced) {
 			return
@@ -721,6 +741,52 @@ func (rc *runCtx) noteBatchPoll(st *scenarioState, got int, status core.Status, 
 		return true
 	}
 	return false
+}
+
+// judgeTimed checks one timed operation of a no-fault phase, begun at
+// start with the given patience. Any outcome but OK or Timeout, or a
+// return more than calmLateBound after the patience, fails
+// timed-ops-resolved. With the injector off no timer is skewed, so an
+// expiry before the patience ran out reaches the unreachable
+// timeout-before-deadline; deadline is false for operations whose
+// Timeout does not mean their patience ran out.
+func (rc *runCtx) judgeTimed(st *scenarioState, tune workloadTuning, start time.Time, patience time.Duration, status core.Status, deadline bool) {
+	if !tune.calm {
+		return
+	}
+	took := time.Since(start)
+	switch {
+	case status != core.OK && status != core.Timeout:
+		rc.suite.Lookup(propTimedResolved).Fail("%s: timed op ended %v, want OK or Timeout", st.name, status)
+	case took > patience+calmLateBound:
+		rc.suite.Lookup(propTimedResolved).Fail("%s: timed op with patience %v returned after %v", st.name, patience, took)
+	default:
+		rc.suite.Observe(propTimedResolved)
+	}
+	if deadline && status == core.Timeout && took < patience {
+		rc.suite.Lookup(propEarlyTimeout).Fail("%s: timed op with patience %v expired after %v", st.name, patience, took)
+	}
+}
+
+// calmPatience is the no-fault phase's patience band: short enough that
+// a good share of operations expire, so the deadline checks have work.
+func calmPatience(r *rand.Rand) time.Duration {
+	return time.Duration(r.IntN(250)) * time.Microsecond
+}
+
+// runCalm follows a scenario's fault window with a short no-fault phase,
+// the "during a period of no faults" half of the property contract: a
+// fresh instance built without the injector (so no CAS failure,
+// preemption, spurious wake-up or timer skew) runs the standard workload
+// with short patience while judgeTimed watches every timed operation and
+// the always-invariants keep running.
+func (rc *runCtx) runCalm(name string, dur time.Duration) {
+	adapter := rc.core.build(rc.opt.apply(core.WaitConfig{Metrics: rc.h}))
+	rc.driveWorkload(name+"/calm", adapter, dur, workloadTuning{
+		calm:             true,
+		producerPatience: calmPatience,
+		consumerPatience: calmPatience,
+	}, nil)
 }
 
 // drain empties the structure after quiesce, recording the takes so the

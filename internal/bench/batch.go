@@ -228,21 +228,30 @@ func runBatchHandoff(q batchSQ, pairs, k int, transfers int64) time.Duration {
 	return time.Since(t0)
 }
 
-// measureBatch reports the best-of-repeats ns/item for one cell.
-func measureBatch(c batchCore, pairs, k int, transfers int64, repeats int) float64 {
-	best := 0.0
+// measureBatch reports one core's median ns/item at each batch size for
+// one pair count. The sizes' repeats are interleaved — every size once,
+// then again — so a drift in host state hits the single-op baseline and
+// the batch legs alike; run back to back, one cell's repeats could all
+// land in a slow or a fast stretch, and the baseline swung 3× between
+// runs of the gate.
+func measureBatch(c batchCore, pairs int, sizes []int, transfers int64, repeats int) []float64 {
+	samples := make([][]float64, len(sizes))
 	for r := 0; r < repeats; r++ {
-		el := runBatchHandoff(c.New(), pairs, k, transfers)
-		ns := float64(el.Nanoseconds()) / float64(transfers)
-		if r == 0 || ns < best {
-			best = ns
+		for i, k := range sizes {
+			el := runBatchHandoff(c.New(), pairs, k, transfers)
+			samples[i] = append(samples[i], float64(el.Nanoseconds())/float64(transfers))
 		}
 	}
-	return best
+	meds := make([]float64, len(sizes))
+	for i, s := range samples {
+		meds[i] = stats.Summarize(s).P50
+	}
+	return meds
 }
 
-// BatchCell is one series' measurement at one (pairs, batch size) point.
-// K == 1 is the single-op baseline.
+// BatchCell is one series' measurement at one (pairs, batch size) point:
+// the median ns/item over the interleaved repeats. K == 1 is the single-op
+// baseline.
 type BatchCell struct {
 	Pairs     int     `json:"pairs"`
 	K         int     `json:"k"`
@@ -383,11 +392,11 @@ func Batch(o SweepOpts) (*stats.Table, BatchReport) {
 	cells := make(map[string][]BatchCell)
 	for _, level := range o.Levels {
 		for _, c := range cores {
-			for _, k := range sizes {
-				if o.Progress != nil {
-					o.Progress(0, fmt.Sprintf("%s k=%d [batch]", c.Name, k), level)
-				}
-				ns := measureBatch(c, level, k, o.Transfers, o.Repeats)
+			if o.Progress != nil {
+				o.Progress(0, c.Name+" [batch]", level)
+			}
+			for i, ns := range measureBatch(c, level, sizes, o.Transfers, o.Repeats) {
+				k := sizes[i]
 				t.Set(fmt.Sprint(level), fmt.Sprintf("%s k=%d", c.Name, k), ns)
 				cells[c.Name] = append(cells[c.Name], BatchCell{Pairs: level, K: k, NsPerItem: ns})
 			}

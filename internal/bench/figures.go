@@ -22,7 +22,9 @@ type SweepOpts struct {
 	// Levels overrides the figure's default x-axis.
 	Levels []int
 	// Repeats per cell; the minimum is reported (least-noise estimator
-	// for a fixed amount of work). Zero selects 3.
+	// for a fixed amount of work), except by the batch sweep, which
+	// reports the median of repeats interleaved across batch sizes.
+	// Zero selects 3.
 	Repeats int
 	// Extras adds the Go channel and naive queue series.
 	Extras bool

@@ -2,9 +2,11 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"synchq/internal/fault"
 	"synchq/internal/metrics"
 )
 
@@ -35,10 +37,25 @@ func assertBridgeCounters(t *testing.T, h *metrics.Handle) {
 // paper's cleaning protocol with a deterministic interleaving: a waiter
 // that times out while an *interior* node (a live waiter sits behind it)
 // must be unlinked by its own clean() call, and the unlink must be
-// counted.
+// counted. The middle waiter is held at the enqueue-pause site, linked but
+// not yet waiting, until the back waiter has linked behind it, so its
+// timeout cannot race ahead of the back waiter however the host schedules.
 func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
+	var hold atomic.Bool
+	linked, gate := make(chan struct{}), make(chan struct{})
+	inj := fault.New(fault.Config{
+		Seed:        1,
+		PreemptRate: 1,
+		Sites:       []fault.Site{fault.QEnqueuePause},
+		PreemptFunc: func(fault.Site) {
+			if hold.CompareAndSwap(true, false) {
+				close(linked)
+				<-gate
+			}
+		},
+	})
 	h := metrics.New()
-	q := NewDualQueue[int](WaitConfig{Metrics: h})
+	q := NewDualQueue[int](WaitConfig{Metrics: h, Fault: inj})
 
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -54,7 +71,9 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 	close(release)
 	waitFor(t, func() bool { return q.Len() == 1 })
 
-	// g2: short-patience waiter behind it — this node will cancel.
+	// g2: short-patience waiter behind it — this node will cancel. It
+	// stops at the enqueue-pause site right after its link CAS.
+	hold.Store(true)
 	timedOut := make(chan struct{})
 	go func() {
 		_, st := q.TakeDeadline(time.Now().Add(3*time.Millisecond), nil)
@@ -63,6 +82,7 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 		}
 		close(timedOut)
 	}()
+	<-linked
 	waitFor(t, func() bool { return q.Len() == 2 })
 
 	// g3: another long waiter so the canceled node is interior, not tail.
@@ -74,6 +94,7 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool { return q.Len() == 3 })
+	close(gate) // g2 may now wait out (or has already passed) its deadline
 
 	<-timedOut
 	if got := h.Load(metrics.Timeouts); got == 0 {

@@ -16,6 +16,30 @@ import (
 // must do so at or after its own deadline, and no 30 ms wait may end
 // before 25 ms.
 func TestPooledTimerTickNeverEndsWaitEarly(t *testing.T) {
+	tickProbe(t)
+}
+
+// TestLeadWindowTickNeverEndsWaitEarly runs the same probe with the lead
+// seeded at its cap, so timer ticks — the waits' own and stale ones —
+// land inside the lead window and start the poll. The poll must still
+// hold every wait to its deadline.
+func TestLeadWindowTickNeverEndsWaitEarly(t *testing.T) {
+	if !multicore {
+		t.Skip("uniprocessor: the wait never polls")
+	}
+	defer timerLate.Init(timerLate.Value())
+	timerLate.Init(uint64(lateCap))
+	before := polls.Load()
+	tickProbe(t)
+	if polls.Load() == before {
+		t.Error("no tick landed in the lead window; the probe never polled")
+	}
+}
+
+// tickProbe races pooled timed Waits against Unpark and fails the test if
+// any wait reports DeadlineExceeded before its deadline.
+func tickProbe(t *testing.T) {
+	t.Helper()
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}

@@ -6,7 +6,7 @@
 // then has nowhere to hide — a property that stops being exercised flips
 // its row to FAIL just as loudly as one that is violated.
 //
-// Three kinds of property cover the shapes a hand-off fabric needs:
+// Four kinds of property cover the shapes a hand-off fabric needs:
 //
 //   - Always — an invariant that must hold at every check point and at
 //     quiesce (conservation of items, synchrony of pairings, per-producer
@@ -24,6 +24,10 @@
 //   - Reachable — a registered fault-injection site that must actually be
 //     hit. Its counter closure is sampled at verdict time; zero means the
 //     chaos schedule no longer penetrates that site, which fails the run.
+//
+//   - Unreachable — an event that must never happen (a timed operation
+//     expiring before its deadline once faults stop). Reaching it is
+//     reported with Fail and fails the property.
 //
 // Properties live in a Suite (one per structure-under-test
 // configuration); suites aggregate into a Report, which renders the
@@ -50,6 +54,8 @@ const (
 	Sometimes
 	// Reachable properties are fault sites that must actually be hit.
 	Reachable
+	// Unreachable properties are events that must never happen.
+	Unreachable
 )
 
 // String returns the kind's stable lower-case name (used in the verdict
@@ -62,6 +68,8 @@ func (k Kind) String() string {
 		return "sometimes"
 	case Reachable:
 		return "reachable"
+	case Unreachable:
+		return "unreachable"
 	default:
 		return fmt.Sprintf("props.Kind(%d)", int(k))
 	}
@@ -128,7 +136,7 @@ func (p *Property) Failed() bool { return p.failures.Load() > 0 }
 // pass resolves the property's verdict from its kind.
 func (p *Property) pass() bool {
 	switch p.kind {
-	case Always:
+	case Always, Unreachable:
 		return p.failures.Load() == 0
 	default: // Sometimes, Reachable
 		return p.Evidence() > 0
@@ -217,6 +225,12 @@ func (s *Suite) Reachable(name string, count func() int64) *Property {
 	return s.add(&Property{name: name, kind: Reachable, count: count})
 }
 
+// Unreachable declares an event that must never happen; the workload
+// reports each occurrence via Fail, with its specifics.
+func (s *Suite) Unreachable(name string) *Property {
+	return s.add(&Property{name: name, kind: Unreachable})
+}
+
 // Lookup returns the named property, or nil.
 func (s *Suite) Lookup(name string) *Property {
 	s.mu.Lock()
@@ -271,7 +285,7 @@ func (s *Suite) Ok() bool {
 type Verdict struct {
 	// Property is the stable property name.
 	Property string `json:"property"`
-	// Kind is "always", "sometimes", or "reachable".
+	// Kind is "always", "sometimes", "reachable", or "unreachable".
 	Kind string `json:"kind"`
 	// Verdict is "pass" or "fail".
 	Verdict string `json:"verdict"`
@@ -286,8 +300,8 @@ type Verdict struct {
 func (v Verdict) Pass() bool { return v.Verdict == "pass" }
 
 // Verdicts resolves every property into its verdict row, in declaration
-// order (always, then sometimes, then reachable, preserving registration
-// order within each kind).
+// order (always, then sometimes, then reachable, then unreachable,
+// preserving registration order within each kind).
 func (s *Suite) Verdicts() []Verdict {
 	s.mu.Lock()
 	props := append([]*Property(nil), s.ordered...)
@@ -384,7 +398,7 @@ func (r *Report) Render() string {
 			}
 		}
 		for _, v := range cr.Verdicts {
-			fmt.Fprintf(&b, "  %-9s %-*s %-4s %10d", v.Kind, w, v.Property, v.Verdict, v.Evidence)
+			fmt.Fprintf(&b, "  %-11s %-*s %-4s %10d", v.Kind, w, v.Property, v.Verdict, v.Evidence)
 			if v.Detail != "" {
 				fmt.Fprintf(&b, "  %s", v.Detail)
 			}

@@ -108,6 +108,26 @@ func TestNeverReachedSiteFails(t *testing.T) {
 	}
 }
 
+// TestReachedUnreachableFails: an unreachable property passes while
+// nothing reaches it and fails, carrying the reported specifics, once the
+// workload reports an occurrence.
+func TestReachedUnreachableFails(t *testing.T) {
+	s := NewSuite("stub/default")
+	p := s.Unreachable("early-timeout")
+	v := verdictFor(t, s.Verdicts(), "early-timeout")
+	if !v.Pass() || v.Kind != "unreachable" {
+		t.Fatalf("unreached unreachable property must pass, got %+v", v)
+	}
+	p.Fail("expired after %s", "3µs")
+	v = verdictFor(t, s.Verdicts(), "early-timeout")
+	if v.Pass() || !strings.Contains(v.Detail, "expired after 3µs") {
+		t.Fatalf("reached unreachable property must fail with its detail, got %+v", v)
+	}
+	if s.Ok() {
+		t.Fatal("suite with a reached unreachable property must not be Ok")
+	}
+}
+
 func TestFailDetailBounded(t *testing.T) {
 	s := NewSuite("stub/default")
 	p := s.Always("synchrony", nil)
@@ -125,16 +145,17 @@ func TestFailDetailBounded(t *testing.T) {
 
 func TestVerdictOrderGroupsKinds(t *testing.T) {
 	s := NewSuite("stub/default")
+	s.Unreachable("never")
 	s.Reachable("reach:x", func() int64 { return 1 })
 	s.Sometimes("fires")
 	s.Always("holds", func(bool) error { return nil })
 	s.Observe("fires")
 	vs := s.Verdicts()
-	kinds := []string{vs[0].Kind, vs[1].Kind, vs[2].Kind}
-	want := []string{"always", "sometimes", "reachable"}
+	kinds := []string{vs[0].Kind, vs[1].Kind, vs[2].Kind, vs[3].Kind}
+	want := []string{"always", "sometimes", "reachable", "unreachable"}
 	for i := range want {
 		if kinds[i] != want[i] {
-			t.Fatalf("verdicts must group always<sometimes<reachable, got %v", kinds)
+			t.Fatalf("verdicts must group always<sometimes<reachable<unreachable, got %v", kinds)
 		}
 	}
 }

@@ -5,8 +5,9 @@ import "sync/atomic"
 // EWMA is the shared fixed-point exponentially-weighted moving average the
 // adaptive controllers are built on: the spin-budget calibrator (this
 // package), the elimination arena's width/patience adaptor
-// (internal/exchanger), and the hand-off fabric's shard-width controller
-// (internal/shard) all smooth one cheap per-operation signal through the
+// (internal/exchanger), the hand-off fabric's shard-width controller
+// (internal/shard) and the parker's timer-lateness estimate
+// (internal/park) all smooth one cheap per-operation signal through the
 // same filter — α = 1/8, eight fractional bits — so their time constants
 // and numeric behavior stay comparable across subsystems.
 //
