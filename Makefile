@@ -1,12 +1,13 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt build test race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short
+.PHONY: check lint vet fmt deadpkg build test race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short
 
 check: lint build test race bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
-# Static tier: vet plus a gofmt cleanliness check (gofmt -l prints the
-# offending files; grep inverts that into a pass/fail).
-lint: vet fmt
+# Static tier: vet, a gofmt cleanliness check (gofmt -l prints the
+# offending files; grep inverts that into a pass/fail), and a dead-package
+# check.
+lint: vet fmt deadpkg
 
 vet:
 	go vet ./...
@@ -14,6 +15,16 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
+
+# Every package under internal/ must have a non-test importer in the
+# module: one that only its own tests use is dead code.
+deadpkg:
+	@used=$$(go list -f '{{join .Imports "\n"}}' ./... | sort -u); dead=; \
+	for p in $$(go list ./internal/...); do \
+		echo "$$used" | grep -qx "$$p" || dead="$$dead $$p"; \
+	done; \
+	if [ -n "$$dead" ]; then \
+		echo "deadpkg: internal packages with no non-test importer:$$dead"; exit 1; fi
 
 build:
 	go build ./...

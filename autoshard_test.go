@@ -170,38 +170,38 @@ func TestFabricStatsJSON(t *testing.T) {
 	}
 }
 
-// TestCompatConstructors: the deprecated wrappers in compat.go still hand
-// off items end to end.
-func TestCompatConstructors(t *testing.T) {
+// TestOptionConstructors: each constructor spelling of the options API
+// builds the structure it names and hands off items end to end.
+func TestOptionConstructors(t *testing.T) {
 	for _, name := range []string{
-		"NewFair", "NewUnfair", "NewEliminating", "NewEliminatingAdaptive",
+		"Fair", "Unfair", "Eliminating", "EliminatingAdaptive",
 	} {
 		t.Run(name, func(t *testing.T) {
 			var put func(int)
 			var take func() int
 			switch name {
-			case "NewFair":
-				q := NewFair[int]()
+			case "Fair":
+				q := New[int](Fair(true))
 				if !q.Fair() {
-					t.Fatal("NewFair built an unfair queue")
+					t.Fatal("New(Fair(true)) built an unfair queue")
 				}
 				put, take = q.Put, q.Take
-			case "NewUnfair":
-				q := NewUnfair[int]()
+			case "Unfair":
+				q := New[int](Fair(false))
 				if q.Fair() {
-					t.Fatal("NewUnfair built a fair queue")
+					t.Fatal("New(Fair(false)) built a fair queue")
 				}
 				put, take = q.Put, q.Take
-			case "NewEliminating":
-				e := NewEliminating(New[int](), 0, 2*time.Microsecond)
+			case "Eliminating":
+				e := NewEliminatingQueue[int](Eliminating(0, 2*time.Microsecond))
 				if e.Adaptive() {
-					t.Fatal("NewEliminating built an adaptive arena")
+					t.Fatal("Eliminating built an adaptive arena")
 				}
 				put, take = e.Put, e.Take
-			case "NewEliminatingAdaptive":
-				e := NewEliminatingAdaptive(New[int]())
+			case "EliminatingAdaptive":
+				e := NewEliminatingQueue[int](EliminatingAdaptive())
 				if !e.Adaptive() {
-					t.Fatal("NewEliminatingAdaptive built a static arena")
+					t.Fatal("EliminatingAdaptive built a static arena")
 				}
 				put, take = e.Put, e.Take
 			}

@@ -150,7 +150,7 @@ func BenchmarkAblationElimination(b *testing.B) {
 			bench.RunHandoff(core.NewDualStack[int64](core.WaitConfig{}), pairs, pairs, int64(b.N), nil)
 		})
 		b.Run(fmt.Sprintf("eliminating/pairs=%d", pairs), func(b *testing.B) {
-			q := synchq.NewEliminating(synchq.NewUnfair[int64](), 0, 5*time.Microsecond)
+			q := synchq.NewEliminatingQueue[int64](synchq.Fair(false), synchq.Eliminating(0, 5*time.Microsecond))
 			bench.RunHandoff(eliminatingSQ{q}, pairs, pairs, int64(b.N), nil)
 		})
 	}

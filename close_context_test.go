@@ -18,8 +18,8 @@ import (
 func newBoth(t *testing.T) map[string]*synchq.SynchronousQueue[int] {
 	t.Helper()
 	return map[string]*synchq.SynchronousQueue[int]{
-		"fair":   synchq.NewFair[int](),
-		"unfair": synchq.NewUnfair[int](),
+		"fair":   synchq.New[int](synchq.Fair(true)),
+		"unfair": synchq.New[int](synchq.Fair(false)),
 	}
 }
 
@@ -131,7 +131,7 @@ func TestCloseUnblocksContextOps(t *testing.T) {
 }
 
 func TestCloseDemandOpsPanic(t *testing.T) {
-	q := synchq.NewUnfair[int]()
+	q := synchq.New[int](synchq.Fair(false))
 	q.Close()
 	for _, tc := range []struct {
 		name string
@@ -206,7 +206,7 @@ func TestTransferQueueCloseAndDrainPublic(t *testing.T) {
 // TestCloseConcurrentWithTransfers closes the public queue mid-storm: no
 // goroutine may hang, and completed hand-offs must balance.
 func TestCloseConcurrentWithTransfers(t *testing.T) {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	var put, taken int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup

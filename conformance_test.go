@@ -19,8 +19,8 @@ import (
 
 func demandImpls() map[string]func() synchq.Queue[int] {
 	return map[string]func() synchq.Queue[int]{
-		"fair":        func() synchq.Queue[int] { return synchq.NewFair[int]() },
-		"unfair":      func() synchq.Queue[int] { return synchq.NewUnfair[int]() },
+		"fair":        func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair":      func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(false)) },
 		"naive":       func() synchq.Queue[int] { return synchq.NewNaive[int]() },
 		"hanson":      func() synchq.Queue[int] { return synchq.NewHanson[int]() },
 		"hansonfast":  func() synchq.Queue[int] { return synchq.NewHansonFast[int]() },
@@ -28,7 +28,7 @@ func demandImpls() map[string]func() synchq.Queue[int] {
 		"java5unfair": func() synchq.Queue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.Queue[int] { return synchq.NewGoChannel[int]() },
 		"eliminating": func() synchq.Queue[int] {
-			return synchq.NewEliminating(synchq.NewUnfair[int](), 2, 20*time.Microsecond)
+			return synchq.NewEliminatingQueue[int](synchq.Fair(false), synchq.Eliminating(2, 20*time.Microsecond))
 		},
 		"transfer":  func() synchq.Queue[int] { return transferAsQueue{synchq.NewTransferQueue[int]()} },
 		"segmented": func() synchq.Queue[int] { return synchq.New[int](synchq.Segmented()) },
@@ -47,13 +47,13 @@ func (t transferAsQueue) Take() int { return t.q.Take() }
 
 func timedImpls() map[string]func() synchq.TimedQueue[int] {
 	return map[string]func() synchq.TimedQueue[int]{
-		"fair":        func() synchq.TimedQueue[int] { return synchq.NewFair[int]() },
-		"unfair":      func() synchq.TimedQueue[int] { return synchq.NewUnfair[int]() },
+		"fair":        func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair":      func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(false)) },
 		"java5fair":   func() synchq.TimedQueue[int] { return synchq.NewJava5Fair[int]() },
 		"java5unfair": func() synchq.TimedQueue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.TimedQueue[int] { return synchq.NewGoChannel[int]() },
 		"eliminating": func() synchq.TimedQueue[int] {
-			return synchq.NewEliminating(synchq.NewUnfair[int](), 2, 20*time.Microsecond)
+			return synchq.NewEliminatingQueue[int](synchq.Fair(false), synchq.Eliminating(2, 20*time.Microsecond))
 		},
 		"transfer":  func() synchq.TimedQueue[int] { return synchq.NewTransferQueue[int]() },
 		"segmented": func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Segmented()) },
@@ -223,7 +223,7 @@ func batchImpls() map[string]func() batchAPI {
 		"unfair+sharded":    mkSQ(false, synchq.Sharded(4)),
 		"segmented+sharded": mkSQ(false, synchq.Segmented(), synchq.Sharded(4)),
 		"eliminating": func() batchAPI {
-			e := synchq.NewEliminating(synchq.NewFair[int](), 2, 20*time.Microsecond)
+			e := synchq.NewEliminatingQueue[int](synchq.Fair(true), synchq.Eliminating(2, 20*time.Microsecond))
 			return batchAPI{
 				putAllCtx:    e.PutAllContext,
 				takeBatchCtx: e.TakeBatchContext,

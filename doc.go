@@ -23,9 +23,7 @@
 // across independent shards with cross-shard steals, AutoShard (or
 // Sharded(0)) lets the fabric pick its own effective width from observed
 // contention, Segmented bounds memory with a segment-backed core, and
-// Instrument attaches counters. The deprecated wrapper constructors
-// (NewFair, NewUnfair, NewEliminating, NewEliminatingAdaptive) remain in
-// compat.go.
+// Instrument attaches counters.
 //
 // Both support demand operations (Put/Take block until a counterpart
 // arrives), polar operations (Offer/Poll succeed only if a counterpart is

@@ -11,7 +11,7 @@ import (
 // A producer and a consumer rendezvous: Put returns only once Take has the
 // value.
 func ExampleSynchronousQueue() {
-	q := synchq.NewUnfair[string]()
+	q := synchq.New[string](synchq.Fair(false))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -27,7 +27,7 @@ func ExampleSynchronousQueue() {
 // primitive a cached thread pool uses to decide between reusing an idle
 // worker and spawning a new one.
 func ExampleSynchronousQueue_Offer() {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	fmt.Println("no consumer:", q.Offer(1))
 
 	ready := make(chan struct{})
@@ -51,7 +51,7 @@ func ExampleSynchronousQueue_Offer() {
 
 // PollTimeout bounds the wait with a patience interval.
 func ExampleSynchronousQueue_PollTimeout() {
-	q := synchq.NewUnfair[int]()
+	q := synchq.New[int](synchq.Fair(false))
 	if _, ok := q.PollTimeout(10 * time.Millisecond); !ok {
 		fmt.Println("timed out: no producer arrived")
 	}

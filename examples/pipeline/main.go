@@ -28,8 +28,8 @@ import (
 )
 
 func main() {
-	words := synchq.NewFair[string]()
-	shouts := synchq.NewFair[string]()
+	words := synchq.New[string](synchq.Fair(true))
+	shouts := synchq.New[string](synchq.Fair(true))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 

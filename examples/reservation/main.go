@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	q := synchq.NewFair[string]()
+	q := synchq.New[string](synchq.Fair(true))
 
 	// A producer will show up a little later.
 	go func() {

@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	q := synchq.NewUnfair[pool.Task]()
+	q := synchq.New[pool.Task](synchq.Fair(false))
 	p := pool.New(q, pool.Config{
 		KeepAlive: 200 * time.Millisecond,
 	})

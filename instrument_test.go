@@ -193,32 +193,33 @@ func TestEliminatingDefaultIsAdaptive(t *testing.T) {
 	pairN(t, q, 20)
 }
 
-func TestDeprecatedEliminatingConstructors(t *testing.T) {
-	// The deprecated wrappers must keep compiling and behaving as before.
-	q1 := synchq.NewEliminating[int](synchq.NewUnfair[int](), 2, time.Microsecond)
+func TestEliminatingQueueOptions(t *testing.T) {
+	// The front-end selectors and the backing-queue options compose in
+	// one options slice.
+	q1 := synchq.NewEliminatingQueue[int](synchq.Fair(false), synchq.Eliminating(2, time.Microsecond))
 	if q1.Adaptive() {
-		t.Error("NewEliminating built an adaptive arena")
+		t.Error("Eliminating built an adaptive arena")
 	}
 	pairN(t, q1, 20)
 
-	q2 := synchq.NewEliminatingAdaptive[int](synchq.NewFair[int]())
+	q2 := synchq.NewEliminatingQueue[int](synchq.Fair(true), synchq.EliminatingAdaptive())
 	if !q2.Adaptive() {
-		t.Error("NewEliminatingAdaptive built a static arena")
+		t.Error("EliminatingAdaptive built a static arena")
 	}
 	if !q2.Fair() {
-		t.Error("Fair() should reflect the wrapped queue")
+		t.Error("Fair() should reflect the backing queue")
 	}
 	pairN(t, q2, 20)
 
-	// A wrapped instrumented queue keeps recording through the wrapper.
+	// Instrument covers the arena and the backing queue alike.
 	m := synchq.NewMetrics()
-	q3 := synchq.NewEliminatingAdaptive[int](synchq.New[int](synchq.Instrument(m)))
+	q3 := synchq.NewEliminatingQueue[int](synchq.EliminatingAdaptive(), synchq.Instrument(m))
 	if q3.Metrics() != m {
-		t.Error("wrapper did not inherit the wrapped queue's Metrics")
+		t.Error("eliminating queue did not report its Instrument metrics")
 	}
 	pairN(t, q3, 20)
 	if s := m.Stats(); s.Counters["fulfillments"] == 0 && s.Counters["elim-hits"] == 0 {
-		t.Error("no events recorded through deprecated wrapper")
+		t.Error("no events recorded through the eliminating queue")
 	}
 }
 

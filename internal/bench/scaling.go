@@ -49,7 +49,7 @@ func newAutoFabricSQ() fabricSQ {
 }
 
 // adaptiveElimSQ fronts any pairing surface with a self-tuning elimination
-// arena, mirroring synchq.NewEliminatingAdaptive.
+// arena, mirroring synchq.NewEliminatingQueue's default front-end.
 type adaptiveElimSQ struct {
 	arena *exchanger.Arena[int64]
 	q     SQ

@@ -211,3 +211,101 @@ func TestTransferQueueDrain(t *testing.T) {
 		t.Fatal("queue not empty after Drain")
 	}
 }
+
+// TestTransferQueueFIFOWaitingConsumers: consumers that wait on an empty
+// queue are served by later asynchronous deposits in arrival order.
+func TestTransferQueueFIFOWaitingConsumers(t *testing.T) {
+	q := NewTransferQueue[int](WaitConfig{})
+	const n = 6
+	results := make([]chan int, n)
+	for i := 0; i < n; i++ {
+		results[i] = make(chan int, 1)
+		ch := results[i]
+		go func() { ch <- q.Take() }()
+		waitLen[int](t, q.q, i+1)
+	}
+	for i := 0; i < n; i++ {
+		if st := q.Put(100 + i); st != OK {
+			t.Fatalf("Put = %v, want OK", st)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got := <-results[i]; got != 100+i {
+			t.Fatalf("consumer %d got %d, want %d (FIFO violated)", i, got, 100+i)
+		}
+	}
+}
+
+// TestTransferQueuePollBuffered: Poll never waits — it fails on an empty
+// queue and returns buffered deposits oldest first.
+func TestTransferQueuePollBuffered(t *testing.T) {
+	q := NewTransferQueue[int](WaitConfig{})
+	if _, ok := q.Poll(); ok {
+		t.Fatal("Poll succeeded on empty queue")
+	}
+	q.Put(1)
+	q.Put(2)
+	for want := 1; want <= 2; want++ {
+		if v, ok := q.Poll(); !ok || v != want {
+			t.Fatalf("Poll = (%d,%v), want (%d,true)", v, ok, want)
+		}
+	}
+}
+
+// TestTransferQueueTimedOutConsumerSkipped: a consumer that timed out
+// waits out its patience and leaves no reservation behind that could
+// swallow a later deposit — the deposit reaches the live consumer queued
+// after it.
+func TestTransferQueueTimedOutConsumerSkipped(t *testing.T) {
+	q := NewTransferQueue[int](WaitConfig{})
+	const patience = 20 * time.Millisecond
+	t0 := time.Now()
+	if _, ok := q.PollTimeout(patience); ok {
+		t.Fatal("PollTimeout succeeded on empty queue")
+	}
+	if el := time.Since(t0); el < patience {
+		t.Fatalf("PollTimeout gave up after %v, before its %v patience", el, patience)
+	}
+	got := make(chan int, 1)
+	go func() {
+		if v, ok := q.PollTimeout(5 * time.Second); ok {
+			got <- v
+		}
+	}()
+	waitLen[int](t, q.q, 1)
+	q.Put(9)
+	select {
+	case v := <-got:
+		if v != 9 {
+			t.Fatalf("live consumer got %d, want 9", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("live consumer never received the deposit")
+	}
+}
+
+// TestTransferQueueZeroSizedPayloads: for a zero-sized element type every
+// value shares one address, so a timeout must not be mistaken for a
+// delivery and a deposit must still be seen.
+func TestTransferQueueZeroSizedPayloads(t *testing.T) {
+	t.Run("poll", func(t *testing.T) {
+		q := NewTransferQueue[struct{}](WaitConfig{})
+		if _, ok := q.PollTimeout(2 * time.Millisecond); ok {
+			t.Fatal("PollTimeout succeeded on empty queue")
+		}
+		q.Put(struct{}{})
+		if _, ok := q.Poll(); !ok {
+			t.Fatal("Poll failed with a deposit present")
+		}
+	})
+	t.Run("take", func(t *testing.T) {
+		q := NewTransferQueue[struct{}](WaitConfig{})
+		q.Put(struct{}{})
+		if _, st := q.TakeDeadline(time.Now().Add(2*time.Millisecond), nil); st != OK {
+			t.Fatalf("TakeDeadline with a deposit present = %v, want OK", st)
+		}
+		if _, st := q.TakeDeadline(time.Now().Add(2*time.Millisecond), nil); st != Timeout {
+			t.Fatalf("TakeDeadline on drained queue = %v, want Timeout", st)
+		}
+	})
+}

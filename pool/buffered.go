@@ -3,89 +3,54 @@ package pool
 import (
 	"time"
 
-	"synchq/internal/dual"
+	"synchq/internal/core"
 )
 
-// buffered adapts the nonblocking dual queue (Scherer & Scott 2004) as an
-// unbounded FIFO task queue: Offer deposits without waiting for a worker,
-// and idle workers' reservations are fulfilled in arrival order. Note the
-// symmetry with the synchronous configuration: the same dual-data-structure
-// idea backs both, differing only in whether producers wait.
+// buffered adapts the paper's §5 TransferQueue as an unbounded FIFO task
+// queue: Offer is an asynchronous deposit that never waits for a worker,
+// and idle workers wait in arrival order for the oldest deposit. Note the
+// symmetry with the synchronous configuration: the same fair dual queue
+// backs both, differing only in whether producers wait.
+//
+// The adapter deliberately has no Close method: the pool never closes a
+// buffered queue, so shutdown wakes idle workers through PollWait's cancel
+// channel and a forced Drain reclaims backlog through the pool's own
+// pending list.
 type buffered struct {
-	q *dual.Queue[Task]
+	q *core.TransferQueue[Task]
 }
 
 // NewBuffered returns an unbounded buffered task queue for use with New —
 // the work-queue configuration of a fixed pool, as opposed to the
-// synchronous hand-off of a cached pool. The returned queue implements
-// WaitQueue, so pools built on it get cancelable idle polls (prompt,
-// poison-free shutdown wake-ups).
+// synchronous hand-off of a cached pool. Deposits are TransferQueue Puts.
+// The returned queue implements WaitQueue, so pools built on it get
+// cancelable idle polls (prompt, poison-free shutdown wake-ups).
 func NewBuffered() Queue {
-	return buffered{q: dual.NewQueue[Task]()}
+	return buffered{q: core.NewTransferQueue[Task](core.WaitConfig{})}
 }
 
 // Offer deposits t; it always succeeds (the buffer is unbounded).
-func (b buffered) Offer(t Task) bool {
-	b.q.Enqueue(t)
-	return true
-}
+func (b buffered) Offer(t Task) bool { return b.q.Put(t) == core.OK }
 
 // PollTimeout receives the oldest buffered task, waiting up to d for one
 // to arrive.
-func (b buffered) PollTimeout(d time.Duration) (Task, bool) {
-	return b.q.DequeueTimeout(d)
-}
+func (b buffered) PollTimeout(d time.Duration) (Task, bool) { return b.q.PollTimeout(d) }
 
 // OfferWait deposits t; an unbounded buffer never makes producers wait,
 // so the deadline and cancel channel are irrelevant.
-func (b buffered) OfferWait(t Task, _ time.Time, _ <-chan struct{}) bool {
-	b.q.Enqueue(t)
-	return true
+func (b buffered) OfferWait(t Task, _ time.Time, _ <-chan struct{}) bool { return b.Offer(t) }
+
+// PollWait receives the oldest buffered task, waiting until the deadline
+// (zero = forever) or the cancel channel fires.
+func (b buffered) PollWait(deadline time.Time, cancel <-chan struct{}) (Task, bool) {
+	t, st := b.q.TakeDeadline(deadline, cancel)
+	return t, st == core.OK
 }
 
 // DrainTo appends up to max immediately available buffered tasks to buf
 // without waiting — the BatchQueue facet that lets a pool worker claim a
 // small burst of backlog in one wakeup.
 func (b buffered) DrainTo(buf []Task, max int) []Task {
-	for n := 0; n < max; n++ {
-		t, ok := b.q.TryDequeue()
-		if !ok {
-			break
-		}
-		buf = append(buf, t)
-	}
+	buf, _ = b.q.DrainTo(buf, max)
 	return buf
-}
-
-// pollSlice bounds how long PollWait commits to one uncancelable
-// DequeueTimeout leg; it is the worst-case latency for observing the
-// cancel channel while idle.
-const pollSlice = 5 * time.Millisecond
-
-// PollWait receives the oldest buffered task, waiting until the deadline
-// (zero = forever) or the cancel channel fires. The underlying dual queue
-// has no cancelable reservation, so the wait runs in short timed slices
-// with a cancellation check between them — the hand-off itself stays on
-// the queue's lock-free path; only idle waiting is sliced.
-func (b buffered) PollWait(deadline time.Time, cancel <-chan struct{}) (Task, bool) {
-	for {
-		select {
-		case <-cancel:
-			return nil, false
-		default:
-		}
-		d := pollSlice
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				return nil, false
-			}
-			if rem < d {
-				d = rem
-			}
-		}
-		if t, ok := b.q.DequeueTimeout(d); ok {
-			return t, true
-		}
-	}
 }

@@ -13,7 +13,7 @@ import (
 
 // A cached pool grows on demand and hands tasks straight to idle workers.
 func ExamplePool() {
-	p := pool.New(synchq.NewUnfair[pool.Task](), pool.Config{})
+	p := pool.New(synchq.New[pool.Task](synchq.Fair(false)), pool.Config{})
 	var wg sync.WaitGroup
 	results := make([]int, 4)
 	for i := 0; i < 4; i++ {
@@ -35,7 +35,7 @@ func ExamplePool() {
 
 // SubmitFunc returns a Future for the task's result.
 func ExampleSubmitFunc() {
-	p := pool.New(synchq.NewUnfair[pool.Task](), pool.Config{})
+	p := pool.New(synchq.New[pool.Task](synchq.Fair(false)), pool.Config{})
 	fut, err := pool.SubmitFunc(p, func() (string, error) {
 		return "computed", nil
 	})
@@ -52,7 +52,7 @@ func ExampleSubmitFunc() {
 // SubmitContext makes admission deadline-aware: a context that is already
 // done is refused at the door, with the context's own error.
 func ExamplePool_SubmitContext() {
-	p := pool.New(synchq.NewUnfair[pool.Task](), pool.Config{})
+	p := pool.New(synchq.New[pool.Task](synchq.Fair(false)), pool.Config{})
 	defer func() { p.Shutdown(); p.Wait() }()
 
 	ctx, cancel := context.WithCancel(context.Background())

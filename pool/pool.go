@@ -274,8 +274,8 @@ func New(q Queue, cfg Config) *Pool {
 }
 
 // NewFixed returns a fixed-size pool of n workers fed through an unbounded
-// buffered queue (the nonblocking dual queue of Scherer & Scott 2004 in
-// its data-buffering mode): Submit never blocks and never spawns beyond n,
+// buffered queue (NewBuffered: the paper's §5 TransferQueue, fed by
+// asynchronous deposits): Submit never blocks and never spawns beyond n,
 // and the n workers never expire. It is the analogue of
 // java.util.concurrent.newFixedThreadPool, provided as the buffered
 // counterpoint to the synchronous cached pool.

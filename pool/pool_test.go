@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func newQueue() Queue {
-	return synchq.NewUnfair[Task]()
+	return synchq.New[Task](synchq.Fair(false))
 }
 
 func TestSubmitRunsTask(t *testing.T) {
@@ -228,8 +229,8 @@ func TestManySubmittersAllTasksRun(t *testing.T) {
 
 func TestPoolOverEveryQueueKind(t *testing.T) {
 	kinds := map[string]func() Queue{
-		"fair":   func() Queue { return synchq.NewFair[Task]() },
-		"unfair": func() Queue { return synchq.NewUnfair[Task]() },
+		"fair":   func() Queue { return synchq.New[Task](synchq.Fair(true)) },
+		"unfair": func() Queue { return synchq.New[Task](synchq.Fair(false)) },
 	}
 	for name, mk := range kinds {
 		t.Run(name, func(t *testing.T) {
@@ -459,5 +460,39 @@ func TestBufferedQueueFIFO(t *testing.T) {
 	}
 	if _, ok := q.PollTimeout(5 * time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded on drained buffer")
+	}
+}
+
+// TestBufferedPollWaitSeesCancelPromptly: an idle buffered worker's wait
+// ends as soon as its cancel channel closes — the wake-up shutdown and
+// Drain rely on — not at the end of some internal polling slice. The
+// median over repeated tries keeps one descheduled goroutine from
+// deciding the verdict.
+func TestBufferedPollWaitSeesCancelPromptly(t *testing.T) {
+	const tries = 21
+	lat := make([]time.Duration, 0, tries)
+	for i := 0; i < tries; i++ {
+		q := NewBuffered().(WaitQueue)
+		cancel := make(chan struct{})
+		returned := make(chan time.Time, 1)
+		go func() {
+			if _, ok := q.PollWait(time.Time{}, cancel); ok {
+				t.Error("PollWait on an empty queue returned a task")
+			}
+			returned <- time.Now()
+		}()
+		time.Sleep(2 * time.Millisecond) // let the poll settle into its wait
+		closed := time.Now()
+		close(cancel)
+		select {
+		case at := <-returned:
+			lat = append(lat, at.Sub(closed))
+		case <-time.After(5 * time.Second):
+			t.Fatal("PollWait never observed its cancel channel")
+		}
+	}
+	slices.Sort(lat)
+	if med := lat[tries/2]; med > time.Millisecond {
+		t.Fatalf("median cancel-to-return latency %v, want <= 1ms (all: %v)", med, lat)
 	}
 }

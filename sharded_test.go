@@ -128,9 +128,9 @@ func TestShardedUnfair(t *testing.T) {
 }
 
 func TestEliminatingAdaptiveRoundTrip(t *testing.T) {
-	e := NewEliminatingAdaptive(NewFair[int]())
+	e := NewEliminatingQueue[int](Fair(true), EliminatingAdaptive())
 	if !e.Adaptive() {
-		t.Fatal("NewEliminatingAdaptive reports Adaptive() = false")
+		t.Fatal("EliminatingAdaptive reports Adaptive() = false")
 	}
 	const n = 1000
 	done := make(chan int)
@@ -153,7 +153,7 @@ func TestEliminatingAdaptiveRoundTrip(t *testing.T) {
 }
 
 func TestEliminatingAdaptiveParitySurface(t *testing.T) {
-	e := NewEliminatingAdaptive(NewFair[int]())
+	e := NewEliminatingQueue[int](Fair(true), EliminatingAdaptive())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -193,7 +193,7 @@ func TestEliminatingAdaptiveParitySurface(t *testing.T) {
 func TestEliminatingAdaptiveSharded(t *testing.T) {
 	// The two features compose: an adaptive arena in front of a sharded
 	// fair queue — the configuration the scaling benchmark headlines.
-	e := NewEliminatingAdaptive(New[int](Fair(true), Sharded(2)))
+	e := NewEliminatingQueue[int](Fair(true), Sharded(2), EliminatingAdaptive())
 	const n = 500
 	done := make(chan struct{})
 	go func() {

@@ -214,7 +214,7 @@ func AutoShard() Option {
 }
 
 // New returns a synchronous queue configured by opts; with no options it is
-// equivalent to NewUnfair.
+// the unfair queue (the paper's dual stack).
 func New[T any](opts ...Option) *SynchronousQueue[T] {
 	return newFromConfig[T](buildConfig(opts))
 }

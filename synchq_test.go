@@ -16,11 +16,8 @@ func TestNewDefaultsToUnfair(t *testing.T) {
 	if q.Fair() {
 		t.Fatal("New() produced a fair queue; default should be unfair")
 	}
-	if !synchq.NewFair[int]().Fair() {
-		t.Fatal("NewFair produced an unfair queue")
-	}
-	if synchq.NewUnfair[int]().Fair() {
-		t.Fatal("NewUnfair produced a fair queue")
+	if synchq.New[int](synchq.Fair(false)).Fair() {
+		t.Fatal("New(Fair(false)) produced a fair queue")
 	}
 	if !synchq.New[int](synchq.Fair(true)).Fair() {
 		t.Fatal("New(Fair(true)) produced an unfair queue")
@@ -38,8 +35,8 @@ func roundTrip(t *testing.T, q *synchq.SynchronousQueue[int]) {
 }
 
 func TestPutTakeBothVariants(t *testing.T) {
-	roundTrip(t, synchq.NewFair[int]())
-	roundTrip(t, synchq.NewUnfair[int]())
+	roundTrip(t, synchq.New[int](synchq.Fair(true)))
+	roundTrip(t, synchq.New[int](synchq.Fair(false)))
 	roundTrip(t, synchq.New[int](synchq.Spins(8, 64)))
 	roundTrip(t, synchq.New[int](synchq.Spins(-1, -1)))
 }
@@ -67,7 +64,7 @@ func TestOfferPollSurface(t *testing.T) {
 }
 
 func TestPutContextCancel(t *testing.T) {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
 	go func() { errc <- q.PutContext(ctx, 1) }()
@@ -79,7 +76,7 @@ func TestPutContextCancel(t *testing.T) {
 }
 
 func TestTakeContextDeadline(t *testing.T) {
-	q := synchq.NewUnfair[int]()
+	q := synchq.New[int](synchq.Fair(false))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, err := q.TakeContext(ctx)
@@ -89,7 +86,7 @@ func TestTakeContextDeadline(t *testing.T) {
 }
 
 func TestTakeContextSuccess(t *testing.T) {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	go q.Put(9)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -100,7 +97,7 @@ func TestTakeContextSuccess(t *testing.T) {
 }
 
 func TestPollWaitOfferWait(t *testing.T) {
-	q := synchq.NewUnfair[int]()
+	q := synchq.New[int](synchq.Fair(false))
 	cancel := make(chan struct{})
 	got := make(chan int, 1)
 	go func() {
@@ -132,7 +129,7 @@ func TestPollWaitOfferWait(t *testing.T) {
 }
 
 func TestObservers(t *testing.T) {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	if !q.IsEmpty() || q.HasWaitingConsumer() || q.HasWaitingProducer() {
 		t.Fatal("fresh queue misreports state")
 	}
@@ -239,7 +236,7 @@ func TestExchangerSizeOne(t *testing.T) {
 }
 
 func TestEliminatingQueueRoundTrip(t *testing.T) {
-	q := synchq.NewEliminating(synchq.NewUnfair[int](), 2, 50*time.Microsecond)
+	q := synchq.NewEliminatingQueue[int](synchq.Fair(false), synchq.Eliminating(2, 50*time.Microsecond))
 	const n = 1000
 	var wg sync.WaitGroup
 	var sum atomic.Int64
@@ -263,7 +260,7 @@ func TestEliminatingQueueRoundTrip(t *testing.T) {
 }
 
 func TestEliminatingQueueTimedOps(t *testing.T) {
-	q := synchq.NewEliminating(synchq.NewUnfair[int](), 2, 50*time.Microsecond)
+	q := synchq.NewEliminatingQueue[int](synchq.Fair(false), synchq.Eliminating(2, 50*time.Microsecond))
 	if q.Offer(1) {
 		t.Fatal("Offer succeeded with no consumer")
 	}
